@@ -543,14 +543,6 @@ func (c *Coordinator) accountForward(route, member string, code int) {
 	_ = member
 }
 
-// routingKey gives campaign affinity: the same config and query shape
-// routes to the same member, so its encoding cache and checkpoints are
-// warm for retries.
-func routingKey(parts ...any) string {
-	raw, _ := json.Marshal(parts) //nolint:errcheck // plain structs
-	return string(raw)
-}
-
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
@@ -570,14 +562,19 @@ func (c *Coordinator) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	c.forward(w, r, "verify", routingKey("verify", req.Config, req.Query), body, c.opts.AttemptTimeout)
+	c.forward(w, r, "verify", configKey(req.Config), body, c.opts.AttemptTimeout)
 }
 
-// configKey routes everything about one named configuration — mutation
-// and subscription alike — to the same ring owner, so the member whose
-// delta-aware encoding cache evolved under a PATCH is also the member
-// whose re-verification verdicts the watchers stream.
-func configKey(name string) string { return routingKey("config", name) }
+// configKey routes everything about one named configuration — verify,
+// sweep, enumerate, mutation and subscription alike — to the same ring
+// owner. A PATCH changes the configuration only on the member it lands
+// on, so reads must land there too or they would answer for the
+// pre-PATCH version; the owner's encoding cache and checkpoints are
+// also the warm ones.
+func configKey(name string) string {
+	raw, _ := json.Marshal([]string{"config", name}) //nolint:errcheck // plain strings
+	return string(raw)
+}
 
 // handlePatchConfig relays a configuration mutation to the config's
 // ring owner. A mutation is not idempotent — a delta applied twice is a
@@ -680,8 +677,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	key := routingKey("sweep", req.Config, req.Property, req.R, req.KL, req.MaxK)
-	cands := c.candidates(key)
+	cands := c.candidates(configKey(req.Config))
 	if len(cands) == 0 {
 		writeError(w, http.StatusServiceUnavailable, "no cluster members")
 		return
@@ -823,8 +819,7 @@ func (c *Coordinator) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	key := routingKey("enumerate", req.Config, req.Query)
-	cands := c.candidates(key)
+	cands := c.candidates(configKey(req.Config))
 	if len(cands) == 0 {
 		writeError(w, http.StatusServiceUnavailable, "no cluster members")
 		return

@@ -128,9 +128,9 @@ func TestCoordinatorForwardsVerify(t *testing.T) {
 	}
 }
 
-// TestCoordinatorFailoverKeepsServing kills one member outright and
-// asserts every verify still succeeds: keys owned by the dead member
-// fail over to the survivor within the attempt budget.
+// TestCoordinatorFailoverKeepsServing kills the owner of the config
+// outright and asserts verify still succeeds: the request fails over to
+// the survivor within the attempt budget.
 func TestCoordinatorFailoverKeepsServing(t *testing.T) {
 	cfg := testConfig(t)
 	_, m1, _ := newMember(t, cfg, nil)
@@ -139,20 +139,15 @@ func TestCoordinatorFailoverKeepsServing(t *testing.T) {
 	c, coord := newTestCoordinator(t, []Member{
 		{Name: "m1", URL: m1.URL}, {Name: "m2", URL: m2.URL}},
 		func(o *Options) { o.Metrics = reg })
-	m2.Close() // node killed; the coordinator has not probed it yet
+	// Kill the member every "grid" request routes to first; the
+	// coordinator has not probed it yet, so the request must fail over.
+	if c.candidates(configKey("grid"))[0].Name == "m1" {
+		m1.Close()
+	} else {
+		m2.Close()
+	}
 
-	// Pick a query whose key routes to the dead member first, so the
-	// request must fail over to survive.
-	query := core.Query{Property: core.Observability, Combined: true, K: 0}
-	routed := false
-	for k := 0; k <= 2 && !routed; k++ {
-		query.K = k
-		key := routingKey("verify", "grid", query)
-		routed = c.candidates(key)[0].Name == "m2"
-	}
-	if !routed {
-		t.Fatal("no k in 0..2 routes to m2 first; the ring test fixture needs a new key")
-	}
+	query := core.Query{Property: core.Observability, Combined: true, K: 1}
 	resp := postJSON(t, coord.URL+"/v1/verify", serve.VerifyRequest{Config: "grid", Query: query})
 	if resp.StatusCode != http.StatusOK {
 		raw, _ := io.ReadAll(resp.Body)
@@ -361,5 +356,110 @@ func TestCoordinatorRelaysPatchAndSubscribe(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "unknown link") {
 		t.Fatalf("relayed 422 body %q lacks the sentinel", body)
+	}
+}
+
+// TestCoordinatorReadsFollowPatch: after a PATCH through the
+// coordinator, every read of that configuration answers for the new
+// version, whatever the query. The reads checked are exactly the query
+// variants a per-query hash would have sent to the member that never
+// saw the PATCH.
+func TestCoordinatorReadsFollowPatch(t *testing.T) {
+	cfg := testConfig(t)
+	_, m1, _ := newMember(t, cfg, nil)
+	_, m2, _ := newMember(t, cfg, nil)
+	c, coord := newTestCoordinator(t, []Member{
+		{Name: "m1", URL: m1.URL}, {Name: "m2", URL: m2.URL}}, nil)
+	owner := c.candidates(configKey("grid"))[0].Name
+
+	// Query variants whose per-query key (config plus query shape) is
+	// owned by the other member.
+	var variants []core.Query
+	for k := 0; k <= 2; k++ {
+		for _, q := range []core.Query{
+			{Property: core.Observability, Combined: true, K: k},
+			{Property: core.SecuredObservability, Combined: true, K: k},
+			{Property: core.BadDataDetectability, Combined: true, K: k, R: 1},
+		} {
+			raw, err := json.Marshal([]any{"verify", "grid", q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.candidates(string(raw))[0].Name != owner {
+				variants = append(variants, q)
+			}
+		}
+	}
+	if len(variants) == 0 {
+		t.Fatal("every query variant hashes to the config owner; the fixture needs more variants")
+	}
+
+	resilient := func(cfg *scadanet.Config, q core.Query) bool {
+		t.Helper()
+		a, err := core.NewAnalyzer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Verify(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Resilient()
+	}
+	// The degrading delta: the single field-device failure that flips
+	// the most variant verdicts.
+	var delta scadanet.Delta
+	var next *scadanet.Config
+	best := 0
+	for _, d := range cfg.Net.Devices() {
+		if !d.FieldDevice() {
+			continue
+		}
+		cand := scadanet.Delta{Ops: []scadanet.Op{{Kind: scadanet.OpDeviceDown, Device: d.ID}}}
+		mutated, _, err := cfg.Apply(cand)
+		if err != nil {
+			continue
+		}
+		flips := 0
+		for _, q := range variants {
+			if resilient(cfg, q) != resilient(mutated, q) {
+				flips++
+			}
+		}
+		if flips > best {
+			best, delta, next = flips, cand, mutated
+		}
+	}
+	if best == 0 {
+		t.Fatal("no single device failure changes a variant's verdict")
+	}
+
+	raw, err := json.Marshal(serve.PatchRequest{Ops: delta.Ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	preq, err := http.NewRequest(http.MethodPatch, coord.URL+"/v1/configs/grid", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	presp, err := http.DefaultClient.Do(preq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := decodeBody[serve.MutationEvent](t, presp); presp.StatusCode != http.StatusOK || ev.Version != 2 {
+		t.Fatalf("PATCH via coordinator = %d, event %+v; want 200 with version 2", presp.StatusCode, ev)
+	}
+
+	for _, q := range variants {
+		resp := postJSON(t, coord.URL+"/v1/verify", serve.VerifyRequest{Config: "grid", Query: q})
+		if resp.StatusCode != http.StatusOK {
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			t.Fatalf("%v: verify = %d, body %s", q, resp.StatusCode, raw)
+		}
+		got := decodeBody[serve.VerifyResponse](t, resp)
+		if want := resilient(next, q); got.Resilient != want {
+			t.Fatalf("%v after %v: resilient = %v, want %v (the patched version's verdict)", q, delta, got.Resilient, want)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 // Package cluster turns a fleet of verification-service nodes
 // (internal/serve) into one fault-tolerant endpoint. A Coordinator
-// consistent-hashes each campaign across the member ring and forwards
-// /v1/verify, /v1/sweep and /v1/enumerate with per-attempt deadlines,
+// consistent-hashes each named configuration onto the member ring and
+// forwards /v1/verify, /v1/sweep, /v1/enumerate, PATCH and
+// /v1/subscribe for it to that owner — so reads always see the owner's
+// latest PATCHed version — with per-attempt deadlines,
 // bounded retries (exponential backoff with jitter) and failover to the
 // next replica when a member dies mid-request.
 //

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -346,17 +346,6 @@ type Analyzer struct {
 	interrupt      func() bool
 	budget         QueryBudget
 	faults         *faultinject.Faults
-
-	// Portfolio escalation (see portfolio.go): replicas raced per hard
-	// query, the clause-sharing ablation knob, and the escalation
-	// threshold (0 = DefaultPortfolioThreshold; tests lower it to force
-	// escalation on small instances). portfolioMaxConc caps concurrently
-	// admitted replicas (0 = GOMAXPROCS, <0 = all; chaos tests saturate
-	// it so every replica genuinely races on a single-CPU host).
-	portfolio        int
-	portfolioNoShare bool
-	portfolioAfter   uint64
-	portfolioMaxConc int
 
 	// Formula preprocessing and the cross-query encoding cache (see
 	// codecache.go). encFP memoizes the analyzer's share of the cache
@@ -754,6 +743,11 @@ func (a *Analyzer) recordMetrics(res *Result) {
 		m.ObserveDuration("scadaver_phase_seconds",
 			map[string]string{"phase": "preprocess", "property": prop}, res.Phases.Preprocess)
 	}
+	// Likewise the audit series: only certified queries pay for one.
+	if res.Audit > 0 {
+		m.ObserveDuration("scadaver_phase_seconds",
+			map[string]string{"phase": "audit", "property": prop}, res.Audit)
+	}
 	if res.Stats.SimplifyTime > 0 {
 		m.Add("scadaver_sat_elim_vars_total", pl, float64(res.Stats.ElimVars))
 		m.ObserveDuration("scadaver_sat_simplify_seconds", pl, res.Stats.SimplifyTime)
@@ -984,9 +978,9 @@ func (a *Analyzer) extractVector(q Query, enc *logic.Encoder) ThreatVector {
 			}
 		}
 	}
-	sortIDs(v.IEDs)
-	sortIDs(v.RTUs)
-	sortLinkIDs(v.Links)
+	slices.Sort(v.IEDs)
+	slices.Sort(v.RTUs)
+	slices.Sort(v.Links)
 	return v
 }
 
@@ -1036,9 +1030,9 @@ func (a *Analyzer) minimizeVector(q Query, v ThreatVector) ThreatVector {
 			out.Links = append(out.Links, id)
 		}
 	}
-	sortIDs(out.IEDs)
-	sortIDs(out.RTUs)
-	sortLinkIDs(out.Links)
+	slices.Sort(out.IEDs)
+	slices.Sort(out.RTUs)
+	slices.Sort(out.Links)
 	return out
 }
 
@@ -1054,12 +1048,4 @@ func (a *Analyzer) violatedUnder(q Query, f Failures) bool {
 		return !a.EvalBadDataDetectabilityUnder(f, q.R)
 	}
 	return false
-}
-
-func sortLinkIDs(ids []scadanet.LinkID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
-func sortIDs(ids []scadanet.DeviceID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

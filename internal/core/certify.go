@@ -28,13 +28,13 @@ import (
 //     pristine re-encode of the query (fresh encoder, no preprocessing,
 //     no cache) solved under the model as unit assumptions.
 //   - Any divergence quarantines the query: one pristine re-solve with
-//     preprocessing, portfolio and cache all disabled, itself
+//     preprocessing and cache both disabled, itself
 //     proof-checked, whose verdict replaces the suspect one.
 //
 // Certification bypasses the encoding cache for the certified solve
 // (the proof must start at clause one of this query's formula, not in
-// the middle of a shared snapshot's life) but leaves preprocessing and
-// portfolio escalation on: both are proof-logged, which is the point.
+// the middle of a shared snapshot's life) but leaves preprocessing on:
+// it is proof-logged, which is the point.
 // Threat enumeration (EnumerateThreats) is not certified — its blocking
 // clauses change the formula mid-stream; certify the individual
 // verdicts via Verify instead. Overhead is measured in EXPERIMENTS.md
@@ -237,7 +237,7 @@ func auditUnsat(ck *drat.Checker, assumptions []sat.Lit) error {
 
 // quarantine handles a certification divergence: the suspect verdict is
 // discarded and the query re-solved from a pristine encoding —
-// preprocessing, portfolio and cache all off, serial, itself
+// preprocessing and cache both off, itself
 // proof-checked — whose verdict replaces the reported one. The
 // re-solve is bounded by the analyzer's conflict budget and interrupt
 // only; fault-injection hooks are deliberately not re-armed, so an

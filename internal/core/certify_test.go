@@ -46,7 +46,8 @@ func boundaryQueries(t *testing.T, cfg *scadanet.Config, p Property, r int) (uns
 // with certification on, every decided verdict (and witness vector)
 // must be identical to the uncertified analyzer's, carry Certified with
 // an empty CertifyError, and never enter quarantine. Unsat verdicts
-// must come with a non-empty checked proof.
+// must come with a non-empty checked proof. Only the certified
+// analyzer exports the audit phase.
 func TestCertifiedVerifyMatchesUncertified(t *testing.T) {
 	cfg := synthConfig(t, powergrid.IEEE14(), 41, 2)
 	var queries []Query
@@ -59,7 +60,8 @@ func TestCertifiedVerifyMatchesUncertified(t *testing.T) {
 			Query{Property: Observability, Combined: true, K: k, KL: 1},
 		)
 	}
-	plain, err := NewAnalyzer(cfg)
+	plainReg := obs.NewRegistry()
+	plain, err := NewAnalyzer(cfg, WithMetrics(plainReg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +130,20 @@ func TestCertifiedVerifyMatchesUncertified(t *testing.T) {
 		}
 	}
 	_ = decided
+	auditPhase := func(reg *obs.Registry) bool {
+		for _, h := range reg.Snapshot().Histograms {
+			if h.Name == "scadaver_phase_seconds" && h.Labels["phase"] == "audit" && h.Count > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	if !auditPhase(reg) {
+		t.Error(`certified queries exported no scadaver_phase_seconds{phase="audit"}`)
+	}
+	if auditPhase(plainReg) {
+		t.Error(`uncertified queries exported scadaver_phase_seconds{phase="audit"}`)
+	}
 }
 
 // TestCertifiedSweep covers the assumption-based proof path: a

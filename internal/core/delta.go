@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -216,7 +217,7 @@ func (a *Analyzer) deltaGroupSpecs(q Query) map[string]groupSpec {
 	}
 	if q.KL > 0 {
 		ids := append([]scadanet.LinkID(nil), healthy...)
-		sortLinkIDs(ids)
+		slices.Sort(ids)
 		named := make([]string, len(ids))
 		for i, lid := range ids {
 			named[i] = fmt.Sprintf("Link_%d", lid)
@@ -497,7 +498,7 @@ func (st *deltaState) activeGroups() int {
 
 func clauseKey(c []sat.Lit) string {
 	sorted := append([]sat.Lit(nil), c...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	return fmt.Sprintf("%v", sorted)
 }
 

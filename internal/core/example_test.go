@@ -8,14 +8,11 @@ import (
 	"scadaver/internal/synth"
 )
 
-// Example_portfolioVerification verifies a resiliency property with
-// portfolio escalation armed: queries that exceed the escalation
-// threshold race diversified solver replicas with clause sharing, while
-// easy queries never pay for the clones. Certification verdicts (UNSAT:
-// "the property holds under every k-failure") are identical to serial
-// verification, so the portfolio is safe to arm campaign-wide; only
-// SAT witness vectors may differ between runs.
-func Example_portfolioVerification() {
+// Example_verification verifies a resiliency property on a synthesized
+// IEEE-14 configuration. UNSAT means the property holds under every
+// failure combination within the budget: no single IED, RTU or link
+// failure can make the grid unobservable.
+func Example_verification() {
 	cfg, err := synth.Generate(synth.Params{
 		Bus: powergrid.IEEE14(), Seed: 41, Hierarchy: 2, SecureFraction: 0.9,
 	})
@@ -23,7 +20,7 @@ func Example_portfolioVerification() {
 		fmt.Println(err)
 		return
 	}
-	a, err := core.NewAnalyzer(cfg, core.WithPortfolio(2))
+	a, err := core.NewAnalyzer(cfg)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -5,9 +5,9 @@ package sat
 // watches, activities, saved phases, and the elimination stack of a
 // previous Simplify all carry over; per-solve hooks (interrupt, conflict
 // hook, progress probe, proof writer) and the cumulative statistics do
-// not — portfolio replicas install their own recording proof hooks. The copy
-// shares no mutable state with the original, so clones may be solved
-// concurrently — this is what the encoding cache hands out per query.
+// not. The copy shares no mutable state with the original, so clones may
+// be solved concurrently — this is what the encoding cache hands out per
+// query.
 //
 // Clone must be taken at decision level 0 (any active search is unwound
 // first). Root-level antecedents are dropped in the copy: conflict
@@ -23,9 +23,6 @@ func (s *Solver) Clone() *Solver {
 		clauseDecay:    s.clauseDecay,
 		maxLearned:     s.maxLearned,
 		restartBase:    s.restartBase,
-		restartGeom:    s.restartGeom,
-		inprocess:      s.inprocess,
-		geomLimit:      s.geomLimit,
 		lubyIdx:        s.lubyIdx,
 		conflictBudget: s.conflictBudget,
 		rootUnsat:      s.rootUnsat,
@@ -54,8 +51,8 @@ func (s *Solver) Clone() *Solver {
 	// and one literal slab per database (two allocations instead of two
 	// PER CLAUSE), and the watch lists are pre-partitioned from a shared
 	// watcher buffer so attach never grows a slice. Each clause's literal
-	// slice is capacity-clipped to its segment: in-place shrinks (vivify,
-	// ReduceRoot) stay inside it, and an append-growth would copy out
+	// slice is capacity-clipped to its segment: in-place shrinks
+	// (ReduceRoot) stay inside it, and an append-growth would copy out
 	// rather than stomp its neighbor.
 	live, nlits := 0, 0
 	count := func(src []*clause) {

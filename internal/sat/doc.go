@@ -26,21 +26,12 @@
 // cache in package core pairs the two, simplifying a structural
 // snapshot once and handing every subsequent query a private clone.
 //
-// # Portfolio solving
+// # One serial solve path
 //
-// SolvePortfolio races diversified clones of the solver and returns
-// the first verdict (PortfolioOptions selects the replica count,
-// clause sharing, and concurrent-admission cap; PortfolioStats reports
-// the winner, its strategy label, and the exchange volume). Each
-// replica takes a distinct row of a fixed diversification matrix —
-// VSIDS decay, restart schedule, initial polarity — and replicas
-// export short, low-LBD learned clauses through a bounded ring that
-// the others import at their next restart. SetInprocess additionally
-// arms a light inprocessing pass at restarts (default off; portfolio
-// replicas switch it on). The losing replicas are cooperatively
-// interrupted, replica panics are isolated, and the winner's
-// statistics are merged back into the base solver. See DESIGN.md §12
-// for the soundness and determinism argument.
+// Every query is decided by one serial Solve call on one solver.
+// Parallelism lives above this package: core.Runner and the served
+// worker pool run independent queries on private solvers (DESIGN.md
+// §12).
 //
 // # Instrumentation and control
 //

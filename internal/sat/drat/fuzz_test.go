@@ -44,7 +44,7 @@ func cnfFromBytes(data []byte) (nv int, cnf [][]int) {
 // FuzzDRATCheck cross-checks the proof pipeline on fuzz-shaped CNFs:
 //
 //  1. Completeness — every proof the solver emits (plain, simplified,
-//     or inprocessed pipeline, chosen by an input byte) must check, and
+//     or root-reduced pipeline, chosen by an input byte) must check, and
 //     an Unsat verdict must be certifiable via VerifyUnsat.
 //  2. Verdict soundness — solver answers must match brute force.
 //  3. Checker soundness — weakening the logged input formula (dropping
@@ -81,7 +81,7 @@ func FuzzDRATCheck(f *testing.F) {
 		case 1:
 			s.Simplify()
 		case 2:
-			s.SetInprocess(true)
+			s.ReduceRoot()
 		}
 		st := s.Solve()
 		want := bruteForceSat(nv, cnf)

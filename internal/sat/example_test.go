@@ -6,12 +6,10 @@ import (
 	"scadaver/internal/sat"
 )
 
-// Example_portfolio races four diversified replicas of one solver on a
-// pigeonhole instance. UNSAT verdicts are deterministic — every replica
-// proves the same formula — so the portfolio is safe for certification
-// queries; only the wall-clock (and, for SAT instances, the particular
-// model) depends on which replica wins.
-func Example_portfolio() {
+// Example_pigeonhole decides a pigeonhole instance: no assignment puts
+// six pigeons into five holes without sharing one, so the solver proves
+// the formula unsatisfiable.
+func Example_pigeonhole() {
 	s := sat.New()
 
 	// PHP(6,5): six pigeons, five holes — classically hard for CDCL.
@@ -44,7 +42,6 @@ func Example_portfolio() {
 		}
 	}
 
-	status, pstats := s.SolvePortfolio(sat.PortfolioOptions{Replicas: 4})
-	fmt.Println(status, "with", pstats.Replicas, "replicas")
-	// Output: unsat with 4 replicas
+	fmt.Println(s.Solve())
+	// Output: unsat
 }

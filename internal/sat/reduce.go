@@ -117,3 +117,20 @@ func (s *Solver) ProbeRoot(maxProbes int) bool {
 	s.probeFailedLiterals(maxProbes)
 	return !s.rootUnsat
 }
+
+// detach removes c's two watchers. The watched literals are always at
+// positions 0 and 1 (the propagation invariant); a watcher already
+// dropped by lazy deletion is simply not found, which is fine.
+func (s *Solver) detach(c *clause) {
+	for _, w := range [2]Lit{c.lits[0], c.lits[1]} {
+		ws := s.watches[w.Neg()]
+		for i := range ws {
+			if ws[i].c == c {
+				ws[i] = ws[len(ws)-1]
+				ws[len(ws)-1] = watcher{}
+				s.watches[w.Neg()] = ws[:len(ws)-1]
+				break
+			}
+		}
+	}
+}

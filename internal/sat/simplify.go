@@ -1,7 +1,7 @@
 package sat
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -170,7 +170,7 @@ func newSimplifier(s *Solver) *simplifier {
 		if satisfied {
 			continue
 		}
-		sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
+		slices.Sort(lits)
 		p.addClause(lits)
 	}
 	// The working set replaces the watched representation entirely.
@@ -505,7 +505,7 @@ func resolve(a, b []Lit, v Var) (out []Lit, ok bool) {
 			out = append(out, l)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	w := 0
 	for i := 0; i < len(out); i++ {
 		if w > 0 && out[i] == out[w-1] {
